@@ -3,10 +3,13 @@
 The backend refactor's performance contract, pinned for the perf gate
 (``tools/check_perf.py`` vs ``results/BENCH_sim.json``):
 
-- the **request** path's numpy batch offers must actually pay: on a
-  steady multi-replica workload (the closed-form recurrence's home turf)
-  the vectorized run must beat the per-request loop by a real factor, and
-  on an adaptive-autoscaler workload it must at minimum never be slower;
+- the **request** path's batch offers must actually pay: on a steady
+  multi-replica workload (the numpy closed-form recurrence's home turf)
+  the vectorized run must beat the per-request loop by a real factor; on
+  jittered service, explicit drops and oversubscribed pools with a
+  standing router queue (the heap kernel's regimes) by at least
+  ``GATED_JITTER_SPEEDUP``; and on an adaptive-autoscaler workload it
+  must at minimum never be slower;
 - batch offers are **bit-identical** to per-request offers (asserted on
   full per-minute series, not summaries);
 - the **flow** and **hybrid** paths must hold their wall-clock, and the
@@ -41,9 +44,9 @@ BENCH_JOBS = 6
 #: Speedup the perf gate demands from batch offers on the steady workload.
 GATED_VECTOR_SPEEDUP = 1.5
 
-#: Speedup the perf gate demands from the fused run-splitting kernel on
-#: the paper's jittered-service regime (and from the drop-thinned
-#: recurrence on explicit-drop workloads).
+#: Speedup the perf gate demands from the heap kernel on the paper's
+#: jittered-service regime, on explicit-drop workloads, and on
+#: oversubscribed pools whose router queue never drains.
 GATED_JITTER_SPEEDUP = 2.0
 
 #: A deterministic-service ResNet34 profile: the regime where the batch
@@ -105,8 +108,8 @@ def _paper_steady_workload(model, minutes=BENCH_MINUTES):
     """Four jittered-service jobs (10 req/s) on pinned 3-replica pools.
 
     The paper's default randomness regime on the small pools real on-prem
-    jobs run at -- the home turf of the fused run-splitting kernel, which
-    must beat the per-request loop by ``GATED_JITTER_SPEEDUP``.
+    jobs run at -- the home turf of the heap kernel, which must beat the
+    per-request loop by ``GATED_JITTER_SPEEDUP``.
     """
     jobs = [
         InferenceJobSpec.with_default_slo(f"jit{i}", model) for i in range(4)
@@ -116,11 +119,29 @@ def _paper_steady_workload(model, minutes=BENCH_MINUTES):
     return jobs, traces, _PinnedPolicy(replicas), replicas
 
 
+def _oversub_workload(model, minutes=BENCH_MINUTES):
+    """Four jittered-service jobs offered ~1.5x their pinned 3-replica pools.
+
+    The oversubscribed regime of the paper's SO/HO sizes: the router queue
+    stays non-empty across chunks and tail drops fire, so every chunk
+    starts on a carried queue -- batched by the heap kernel, which must
+    beat the per-request loop by ``GATED_JITTER_SPEEDUP`` here too.
+    """
+    jobs = [
+        InferenceJobSpec.with_default_slo(f"over{i}", model) for i in range(4)
+    ]
+    capacity_rpm = 3 * 60.0 / model.proc_time
+    traces = {job.name: np.full(minutes, 1.5 * capacity_rpm) for job in jobs}
+    replicas = {job.name: 3 for job in jobs}
+    return jobs, traces, _PinnedPolicy(replicas), replicas
+
+
 def _drops_workload(model, minutes=BENCH_MINUTES):
     """The steady hot pools under a pinned 10% explicit-drop directive.
 
-    Deterministic service keeps the only randomness in the drop lottery,
-    so the drop-thinned closed-form recurrence carries whole chunks.
+    Deterministic service keeps the only randomness in the drop lottery:
+    the drop-thinned numpy recurrence commits each chunk's prefix and the
+    heap kernel finishes it.
     """
     jobs = [
         InferenceJobSpec.with_default_slo(f"drop{i}", model) for i in range(4)
@@ -223,13 +244,13 @@ def run_sim_bench(minutes: int = BENCH_MINUTES) -> dict:
     points.append({"name": "request-adaptive-scalar", "wall_s": adaptive_scalar_s})
 
     # The paper's default jittered service under the adaptive autoscaler
-    # (small shifting pools; the run-splitting kernel carries the chunks).
+    # (small shifting pools; the heap kernel carries the chunks).
     paper_s, _ = _time_run(
         lambda: build("request", _adaptive_workload, RESNET34), repeats=3
     )
     points.append({"name": "request-paper", "wall_s": paper_s})
 
-    # Jittered steady pools: the fused kernel's gated regime.  Randomness
+    # Jittered steady pools: the heap kernel's gated regime.  Randomness
     # makes "identical" a three-way claim here: latencies, series, and the
     # RNG stream itself must match the scalar loop draw for draw.
     jitter_vector_s, jitter_vector = _time_run(
@@ -245,6 +266,22 @@ def run_sim_bench(minutes: int = BENCH_MINUTES) -> dict:
     identical = identical and _series_identical(jitter_vector, jitter_scalar)
     points.append({"name": "request-paper-vector", "wall_s": jitter_vector_s})
     points.append({"name": "request-paper-scalar", "wall_s": jitter_scalar_s})
+
+    # Oversubscribed jittered pools: every chunk starts on a standing
+    # router queue and tail drops fire.
+    oversub_vector_s, oversub_vector = _time_run(
+        lambda: build("request", _oversub_workload, RESNET34,
+                       options={"vectorize": True}),
+        repeats=3,
+    )
+    oversub_scalar_s, oversub_scalar = _time_run(
+        lambda: build("request", _oversub_workload, RESNET34,
+                       options={"vectorize": False}),
+        repeats=3,
+    )
+    identical = identical and _series_identical(oversub_vector, oversub_scalar)
+    points.append({"name": "request-oversub-vector", "wall_s": oversub_vector_s})
+    points.append({"name": "request-oversub-scalar", "wall_s": oversub_scalar_s})
 
     # Explicit-drop directives on hot pools: the drop-thinned recurrence.
     drops_vector_s, drops_vector = _time_run(
@@ -279,6 +316,7 @@ def run_sim_bench(minutes: int = BENCH_MINUTES) -> dict:
         "adaptive_vector_speedup": adaptive_scalar_s / adaptive_vector_s,
         "jittered_vector_speedup": jitter_scalar_s / jitter_vector_s,
         "drops_vector_speedup": drops_scalar_s / drops_vector_s,
+        "oversub_vector_speedup": oversub_scalar_s / oversub_vector_s,
         "gated_vector_speedup": GATED_VECTOR_SPEEDUP,
         "gated_jitter_speedup": GATED_JITTER_SPEEDUP,
         "hybrid_request_jobs": hybrid_result.metadata["request_jobs"],
@@ -305,6 +343,11 @@ def test_sim_backend_bench(benchmark):
          f"batch is {data['jittered_vector_speedup']:.2f}x faster"],
         ["request jittered steady (per-request)",
          f"{by_name['request-paper-scalar']*1000:.0f}ms", "-"],
+        ["request oversubscribed (batch)",
+         f"{by_name['request-oversub-vector']*1000:.0f}ms",
+         f"batch is {data['oversub_vector_speedup']:.2f}x faster"],
+        ["request oversubscribed (per-request)",
+         f"{by_name['request-oversub-scalar']*1000:.0f}ms", "-"],
         ["request drops (batch)", f"{by_name['request-drops-vector']*1000:.0f}ms",
          f"batch is {data['drops_vector_speedup']:.2f}x faster"],
         ["request drops (per-request)",
@@ -326,9 +369,11 @@ def test_sim_backend_bench(benchmark):
     assert data["vector_identical"]
     # ...must pay for itself where it engages fully...
     assert data["steady_vector_speedup"] >= GATED_VECTOR_SPEEDUP
-    # ...including under the paper's jittered service and drop directives...
+    # ...including under the paper's jittered service, drop directives
+    # and a standing router queue...
     assert data["jittered_vector_speedup"] >= GATED_JITTER_SPEEDUP
     assert data["drops_vector_speedup"] >= GATED_JITTER_SPEEDUP
+    assert data["oversub_vector_speedup"] >= GATED_JITTER_SPEEDUP
     # ...and may never pessimize the adaptive path (noise margin).
     assert by_name["request-adaptive"] <= by_name["request-adaptive-scalar"] * 1.15
     # The hybrid backend must sit strictly between its parents.
@@ -365,6 +410,7 @@ def run_smoke(minutes: int = SMOKE_MINUTES) -> int:
         ("steady_vector_speedup", "gated_vector_speedup"),
         ("jittered_vector_speedup", "gated_jitter_speedup"),
         ("drops_vector_speedup", "gated_jitter_speedup"),
+        ("oversub_vector_speedup", "gated_jitter_speedup"),
     ):
         floor = data[gate_key] * SMOKE_SPEEDUP_MARGIN
         checks.append(

@@ -17,8 +17,10 @@ the paper's metric definitions (§6 "Metrics").
 from __future__ import annotations
 
 import math
-from bisect import insort
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import repeat
+from operator import add
 
 import numpy as np
 
@@ -76,6 +78,12 @@ class MetricsCollector:
             np.asarray(history_prefix, dtype=float) if history_prefix is not None else None
         )
         self._bins: dict[int, _Bin] = {}
+        #: :meth:`rate_history` reads minute ``m`` as the arrivals of bins
+        #: ``m * bins_per_minute`` onwards; their total is kept here per
+        #: minute, next to the bins, so a history read is one lookup per
+        #: minute instead of one per bin.
+        self._bins_per_minute = max(int(round(60.0 / bin_seconds)), 1)
+        self._minute_arrivals: dict[int, int] = {}
         #: Synthetic per-minute rates (requests/second) for minutes this
         #: collector never observed -- seeded by the hybrid backend when a
         #: job is promoted to request fidelity mid-run, so predictors are
@@ -91,6 +99,8 @@ class MetricsCollector:
         index = int(arrival_time // self.bin_seconds)
         bin_ = self._bins.setdefault(index, _Bin())
         bin_.arrivals += 1
+        minute = index // self._bins_per_minute
+        self._minute_arrivals[minute] = self._minute_arrivals.get(minute, 0) + 1
         if math.isinf(latency):
             bin_.drops += 1
             bin_.violations += 1
@@ -126,10 +136,15 @@ class MetricsCollector:
         run_ends = [*boundaries.tolist(), n]
         slo_target = self.slo.target
         proc_time = self.proc_time
+        bins_per_minute = self._bins_per_minute
+        minute_arrivals = self._minute_arrivals
         for start, end in zip(run_starts, run_ends):
-            bin_ = self._bins.setdefault(int(indices[start]), _Bin())
+            index = int(indices[start])
+            bin_ = self._bins.setdefault(index, _Bin())
             count = end - start
             bin_.arrivals += count
+            minute = index // bins_per_minute
+            minute_arrivals[minute] = minute_arrivals.get(minute, 0) + count
             window = latencies[start:end]
             # inf > target is True, so this counts drops and slow requests
             # in one comparison (record() counts a drop as a violation).
@@ -142,11 +157,11 @@ class MetricsCollector:
             if served:
                 bin_.latencies.extend(window.tolist())
                 # Repeated addition is not multiplication in floating
-                # point: accumulate exactly as record() would have.
-                total = bin_.proc_time_sum
-                for _ in range(served):
-                    total += proc_time
-                bin_.proc_time_sum = total
+                # point: accumulate exactly as record() would have, one
+                # float addition per served request, in order.
+                bin_.proc_time_sum = reduce(
+                    add, repeat(proc_time, served), bin_.proc_time_sum
+                )
 
     # -------------------------------------------------------- observation
 
@@ -157,7 +172,9 @@ class MetricsCollector:
 
     def window_latency_percentile(self, start: float, end: float) -> float:
         """SLO-percentile latency over [start, end); drops count as inf."""
-        bins = self._bins_in(start, end)
+        return self._latency_percentile(self._bins_in(start, end))
+
+    def _latency_percentile(self, bins: list[_Bin]) -> float:
         latencies: list[float] = []
         drops = 0
         for bin_ in bins:
@@ -169,9 +186,9 @@ class MetricsCollector:
         rank = self.slo.quantile * total
         if rank > len(latencies):
             return math.inf
-        ordered = np.sort(np.asarray(latencies))
-        index = min(max(int(math.ceil(rank)) - 1, 0), len(ordered) - 1)
-        return float(ordered[index])
+        index = min(max(int(math.ceil(rank)) - 1, 0), len(latencies) - 1)
+        # The element a full sort would put at ``index``, without the sort.
+        return float(np.partition(np.asarray(latencies), index)[index])
 
     def observation_fields(self, start: float, end: float) -> dict:
         """Raw aggregates over [start, end) for building JobObservation."""
@@ -184,7 +201,7 @@ class MetricsCollector:
         duration = max(end - start, 1e-9)
         return {
             "arrival_rate": arrivals / duration,
-            "latency": self.window_latency_percentile(start, end),
+            "latency": self._latency_percentile(bins),
             "slo_violation_rate": violations / arrivals if arrivals else 0.0,
             "mean_proc_time": proc_sum / served if served else self.proc_time,
             "drop_rate": drops / arrivals if arrivals else 0.0,
@@ -198,22 +215,17 @@ class MetricsCollector:
         """
         if minutes < 1:
             raise ValueError(f"minutes must be >= 1, got {minutes}")
-        bins_per_minute = max(int(round(60.0 / self.bin_seconds)), 1)
         current_minute = int(now // 60.0)
         rates = np.zeros(minutes)
         prefix = self.history_prefix
+        minute_arrivals = self._minute_arrivals
         for offset in range(minutes):
             minute = current_minute - minutes + offset
             if minute < 0:
                 if prefix is not None and prefix.shape[0] + minute >= 0:
                     rates[offset] = prefix[prefix.shape[0] + minute]
                 continue
-            first_bin = minute * bins_per_minute
-            total = sum(
-                self._bins[first_bin + k].arrivals
-                for k in range(bins_per_minute)
-                if (first_bin + k) in self._bins
-            )
+            total = minute_arrivals.get(minute, 0)
             if total == 0 and minute in self._rate_backfill:
                 rates[offset] = self._rate_backfill[minute]
             else:
@@ -240,7 +252,7 @@ class MetricsCollector:
         arrivals = sum(b.arrivals for b in bins)
         drops = sum(b.drops for b in bins)
         violations = sum(b.violations for b in bins)
-        latency = self.window_latency_percentile(start, end)
+        latency = self._latency_percentile(bins)
         if arrivals == 0:
             utility = 1.0  # An idle job trivially meets its SLO.
             violation_rate = 0.0
@@ -266,5 +278,11 @@ class MetricsCollector:
         """Drop bins older than ``time_s`` (bound long-run memory)."""
         cutoff = int(time_s // self.bin_seconds)
         stale = [i for i in self._bins if i < cutoff]
+        minute_arrivals = self._minute_arrivals
         for index in stale:
-            del self._bins[index]
+            minute = index // self._bins_per_minute
+            left = minute_arrivals[minute] - self._bins.pop(index).arrivals
+            if left:
+                minute_arrivals[minute] = left
+            else:
+                del minute_arrivals[minute]

@@ -145,12 +145,12 @@ class RayServeCluster:
     def offer_chunk(self, job_name: str, chunk: list) -> None:
         """Route one chunk, list or float array (the simulators' hot call).
 
-        Chooses per chunk: when the router's batch fast path can engage
-        (checked without touching numpy), the chunk is routed and recorded
-        in two vectorized passes; otherwise it runs the exact per-request
-        loop with no list/array round-trips -- so a chunk that cannot be
-        batched costs what it always did.  Either way the outcome is
-        bit-identical to sequential :meth:`offer` calls.
+        Chunks of at least ``JobRouter._MIN_FAST_PREFIX`` requests are
+        routed by :meth:`JobRouter.offer_many` -- a batch kernel whatever
+        the router queue holds, unless jitter and drops are both active --
+        and recorded in one batch pass; shorter chunks run the exact
+        per-request loop with no list/array round-trips.  Either way the
+        outcome is bit-identical to sequential :meth:`offer` calls.
         """
         router = self.routers[job_name]
         if len(chunk) >= router._MIN_FAST_PREFIX:

@@ -7,7 +7,7 @@ workloads (:mod:`repro.sim.workload`) and an autoscaling policy
 request-level dynamics per chunk:
 
 1. offer every request arriving in the chunk to its job's router (in
-   numpy batches -- see :meth:`repro.cluster.router.JobRouter.offer_many`),
+   batches -- see :meth:`repro.cluster.router.JobRouter.offer_many`),
 2. inject replica faults and reconcile,
 3. build per-job observations from collected metrics,
 4. apply the policy's decision through the resource quota.
@@ -93,11 +93,14 @@ def collect_request_series(
 class RequestBackendOptions:
     """Typed options of the ``request`` backend.
 
-    ``vectorize`` enables the numpy batch-offer path
-    (:meth:`repro.cluster.router.JobRouter.offer_many`); it is bit-identical
-    to per-request offers (the fast path only engages when it can prove
-    exactness), so this knob exists for benchmarking and debugging, not for
-    changing results.
+    ``vectorize`` enables batch offers
+    (:meth:`repro.cluster.router.JobRouter.offer_many`): the numpy
+    closed-form recurrence on wide deterministic pools with an empty router
+    queue, the heap-replace kernel for every other chunk with separable
+    randomness (queued or not), and the scalar loop only for jitter and
+    drops together.  Batch offers are bit-identical to per-request offers,
+    RNG stream included, so this knob exists for benchmarking and
+    debugging, not for changing results.
     """
 
     vectorize: bool = True

@@ -17,6 +17,7 @@ The contracts under test:
 """
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -310,6 +311,36 @@ class TestInterpBackends:
         with pytest.raises(ValueError, match="unknown interp backend"):
             interp.set_backend("cuda")
         if not interp.numba_available():
+            with pytest.raises(RuntimeError, match="numba is not importable"):
+                interp.set_backend("numba")
+
+    def test_numba_probe_runs_once_per_process(self):
+        """A failed ``import numba`` is a full ``sys.path`` search; the
+        kernel must not repeat it on every interpolation call."""
+
+        class CountingFinder:
+            lookups = 0
+
+            def find_spec(self, name, path=None, target=None):
+                if name == "numba":
+                    CountingFinder.lookups += 1
+                return None
+
+        interp.numba_available()
+        finder = CountingFinder()
+        sys.meta_path.insert(0, finder)
+        try:
+            problem = make_problem(varied=True)
+            R = np.tile(problem._mins_vec + 1.0, (4, 1))
+            for _ in range(3):
+                problem.evaluate_many(R, np.zeros_like(R))
+                interp.numba_available()
+                interp.get_backend()
+        finally:
+            sys.meta_path.remove(finder)
+        assert CountingFinder.lookups == 0
+        if not interp.numba_available():
+            assert interp.get_backend() == "numpy"
             with pytest.raises(RuntimeError, match="numba is not importable"):
                 interp.set_backend("numba")
 

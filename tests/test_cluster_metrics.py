@@ -131,3 +131,130 @@ class TestRateHistory:
     def test_invalid_minutes(self):
         with pytest.raises(ValueError):
             make_collector().rate_history(0.0, 0)
+
+
+def reference_rate_history(collector, now, minutes):
+    """Per-minute rates by summing each minute's bins (the bin-walking
+    definition the per-minute counts must reproduce)."""
+    bins_per_minute = max(int(round(60.0 / collector.bin_seconds)), 1)
+    current_minute = int(now // 60.0)
+    rates = np.zeros(minutes)
+    prefix = collector.history_prefix
+    for offset in range(minutes):
+        minute = current_minute - minutes + offset
+        if minute < 0:
+            if prefix is not None and prefix.shape[0] + minute >= 0:
+                rates[offset] = prefix[prefix.shape[0] + minute]
+            continue
+        first_bin = minute * bins_per_minute
+        total = sum(
+            collector._bins[first_bin + k].arrivals
+            for k in range(bins_per_minute)
+            if (first_bin + k) in collector._bins
+        )
+        if total == 0 and minute in collector._rate_backfill:
+            rates[offset] = collector._rate_backfill[minute]
+        else:
+            rates[offset] = total / 60.0
+    return rates
+
+
+def reference_percentile(collector, start, end):
+    """SLO-percentile latency by fully sorting the window's samples."""
+    latencies, drops = [], 0
+    for bin_ in collector._bins_in(start, end):
+        latencies.extend(bin_.latencies)
+        drops += bin_.drops
+    total = len(latencies) + drops
+    if total == 0:
+        return 0.0
+    rank = collector.slo.quantile * total
+    if rank > len(latencies):
+        return math.inf
+    ordered = np.sort(np.asarray(latencies))
+    return float(ordered[min(max(int(math.ceil(rank)) - 1, 0), len(ordered) - 1)])
+
+
+class TestIncrementalWindowsMatchReference:
+    """Per-minute arrival counts and the partitioned percentile equal the
+    bin-summing and full-sort definitions, float for float."""
+
+    MINUTES = 9
+
+    def _stream(self, seed, drop_share=0.1):
+        rng = np.random.default_rng(seed)
+        arrivals = np.sort(rng.uniform(0.0, self.MINUTES * 60.0, 2500))
+        latencies = rng.gamma(2.0, 0.25, arrivals.shape[0])
+        latencies[rng.random(arrivals.shape[0]) < drop_share] = math.inf
+        return arrivals, latencies
+
+    def _fill(self, collector, arrivals, latencies, mode):
+        if mode == "record":
+            for arrival, latency in zip(arrivals.tolist(), latencies.tolist()):
+                collector.record(arrival, latency)
+        elif mode == "record_many":
+            for part in np.array_split(np.arange(arrivals.shape[0]), 13):
+                collector.record_many(arrivals[part], latencies[part])
+        else:  # alternate scalar and batch chunks
+            for index, part in enumerate(np.array_split(np.arange(arrivals.shape[0]), 17)):
+                if index % 2:
+                    collector.record_many(arrivals[part], latencies[part])
+                else:
+                    for i in part.tolist():
+                        collector.record(float(arrivals[i]), float(latencies[i]))
+
+    def _assert_matches(self, collector):
+        for now in np.arange(0.0, (self.MINUTES + 2) * 60.0, 37.5):
+            for minutes in (1, 5, 15):
+                np.testing.assert_array_equal(
+                    collector.rate_history(now, minutes),
+                    reference_rate_history(collector, now, minutes),
+                )
+            for window in (15.0, 60.0, 150.0):
+                start = max(now - window, 0.0)
+                assert collector.window_latency_percentile(start, now) == (
+                    reference_percentile(collector, start, now)
+                )
+        for minute in range(self.MINUTES):
+            stats = collector.minute_stats(minute)
+            assert stats.latency_p == reference_percentile(
+                collector, minute * 60.0, (minute + 1) * 60.0
+            )
+
+    @pytest.mark.parametrize("bin_seconds", [15.0, 25.0, 7.0])
+    @pytest.mark.parametrize("mode", ["record", "record_many", "mixed"])
+    def test_after_recording(self, mode, bin_seconds):
+        collector = make_collector(bin_seconds=bin_seconds, prefix=np.arange(4.0))
+        self._fill(collector, *self._stream(seed=1), mode)
+        self._assert_matches(collector)
+
+    @pytest.mark.parametrize("bin_seconds", [15.0, 25.0])
+    @pytest.mark.parametrize("cutoff", [97.0, 185.5, 240.0])
+    def test_after_trim_off_minute_boundary(self, bin_seconds, cutoff):
+        collector = make_collector(bin_seconds=bin_seconds)
+        self._fill(collector, *self._stream(seed=2), "mixed")
+        collector.trim_before(cutoff)
+        self._assert_matches(collector)
+        # Recording after a trim keeps the counts in step.
+        collector.record_many(np.array([cutoff + 1.0, cutoff + 2.0]), np.array([0.3, math.inf]))
+        collector.record(cutoff + 3.0, 0.4)
+        self._assert_matches(collector)
+
+    @pytest.mark.parametrize("bin_seconds", [15.0, 25.0])
+    def test_with_backfilled_minutes(self, bin_seconds):
+        collector = make_collector(bin_seconds=bin_seconds)
+        arrivals, latencies = self._stream(seed=3)
+        keep = (arrivals < 120.0) | (arrivals >= 300.0)
+        collector.backfill_rate_history({m: 10.0 + m for m in range(12)})
+        self._fill(collector, arrivals[keep], latencies[keep], "mixed")
+        collector.trim_before(130.0)
+        self._assert_matches(collector)
+        history = collector.rate_history(6 * 60.0, 6)
+        assert history[2] == 12.0 and history[3] == 13.0  # backfilled minutes
+
+    def test_all_drops_and_empty_windows(self):
+        collector = make_collector()
+        collector.record_many(np.array([1.0, 2.0]), np.array([math.inf, math.inf]))
+        assert collector.window_latency_percentile(0.0, 60.0) == math.inf
+        assert collector.window_latency_percentile(60.0, 120.0) == 0.0
+        self._assert_matches(collector)

@@ -222,7 +222,7 @@ class TestOfferManyBitIdentity:
     def test_fast_path_engages_when_underloaded(self):
         router = _mk_router(jitter=0.0, replicas=4)
         chunk = np.arange(1.0, 17.0)  # 16 spaced arrivals, no waiting
-        assert router.chunk_fast_preconditions(1.0)
+        assert router._queue_empty_at(1.0)
         latencies, consumed = router._offer_chunk_fast(chunk)
         assert consumed == 16
         # Exactly the scalar path's arithmetic: (arrival + proc) - arrival.
@@ -248,19 +248,27 @@ class TestOfferManyBitIdentity:
         # The scalar continuation drops that request, exactly as the
         # differential test asserts wholesale.
 
-    def test_fast_path_declines_randomness_and_queue(self):
-        # Separable randomness (jitter alone, drops alone) batch-draws and
-        # stays on the fast path; jitter AND drops interleave
-        # outcome-dependent draws and must stay scalar...
-        assert _mk_router(jitter=0.05).chunk_fast_preconditions(1.0)
-        assert _mk_router(jitter=0.0, drop_rate=0.5).chunk_fast_preconditions(1.0)
-        assert not _mk_router(jitter=0.05, drop_rate=0.5).chunk_fast_preconditions(1.0)
-        # ...as does a non-empty router queue at the first arrival.
-        router = _mk_router(jitter=0.0, replicas=1)
-        router.offer(1.0)
-        router.offer(1.01)  # queued behind the first request
-        assert not router.chunk_fast_preconditions(1.05)
-        # A short drop-bound chunk is not worth a batch commit.
+    def test_batch_path_takes_queue_declines_inseparable_randomness(self):
+        # Jitter AND drops interleave outcome-dependent draws (a uniform
+        # per arrival, a normal only if served): the scalar loop runs them.
+        mixed = _mk_router(jitter=0.05, drop_rate=0.5)
+        mixed.offer_many(np.arange(1.0, 17.0))
+        assert (mixed.vector_requests, mixed.scalar_requests) == (0, 16)
+        # A chunk that starts on a non-empty router queue is batched, and
+        # matches scalar offers state and all.
+        scalar = _mk_router(jitter=0.0, replicas=1)
+        batch = _mk_router(jitter=0.0, replicas=1)
+        for router in (scalar, batch):
+            router.offer(1.0)
+            router.offer(1.01)  # queued behind the first request
+        assert not batch._queue_empty_at(1.05)
+        chunk = 1.05 + np.arange(16) * 0.01
+        expected = np.array([scalar.offer(t) for t in chunk.tolist()])
+        np.testing.assert_array_equal(batch.offer_many(chunk), expected)
+        assert batch.vector_requests == 16
+        assert list(batch._pending_starts) == list(scalar._pending_starts)
+        assert _router_state(batch, 1.3) == _router_state(scalar, 1.3)
+        # A short drop-bound chunk is not worth a closed-form commit.
         saturated = _mk_router(jitter=0.0, replicas=1, threshold=2)
         assert saturated._offer_chunk_fast(np.array([1.0, 1.001, 1.002])) is None
 

@@ -22,10 +22,10 @@ Four benches run in-process and compare against checked-in baselines:
 - the simulation-backend bench (``benchmarks/bench_sim_backends.py`` vs
   ``results/BENCH_sim.json``): batch offers must stay byte-identical to
   per-request offers (unconditional), keep their speedup on the steady,
-  jittered-service, and explicit-drop workloads, and no backend's
-  wall-clock may regress beyond tolerance.  The jittered/drops speedup
-  gates self-report SKIPPED when the checked-in baseline predates those
-  points;
+  jittered-service, explicit-drop and oversubscribed (standing router
+  queue) workloads, and no backend's wall-clock may regress beyond
+  tolerance.  The jittered/drops/oversub speedup gates self-report
+  SKIPPED when the checked-in baseline predates those points;
 - the scenario-build bench (``benchmarks/bench_scenario_build.py`` vs
   ``results/BENCH_scenarios.json``): scenario construction + trace
   generation at 10/100/500 jobs may not regress beyond tolerance, and the
@@ -322,19 +322,21 @@ SIM_GATED_POINTS = (
     "request-paper",
     "request-paper-vector",
     "request-drops-vector",
+    "request-oversub-vector",
     "flow",
     "hybrid",
 )
 
 #: Vectorization speedups the sim gate bounds from below:
 #: ``(measured key, baseline gate-constant key, default floor)``.  The
-#: jittered/drops entries self-report SKIPPED when the checked-in baseline
-#: predates them (a stale baseline should say so, not silently gate
+#: jittered/drops/oversub entries self-report SKIPPED when the checked-in
+#: baseline predates them (a stale baseline should say so, not silently gate
 #: nothing and not block older gates either).
 SIM_SPEEDUP_GATES = (
     ("steady_vector_speedup", "gated_vector_speedup", 1.5),
     ("jittered_vector_speedup", "gated_jitter_speedup", 2.0),
     ("drops_vector_speedup", "gated_jitter_speedup", 2.0),
+    ("oversub_vector_speedup", "gated_jitter_speedup", 2.0),
 )
 
 
